@@ -37,35 +37,22 @@ import (
 )
 
 func main() {
+	var opts repro.Options
+	opts.RegisterFlags(flag.CommandLine)
 	var (
 		dataset = flag.String("dataset", "flights", "dataset: flights, tpch, or imdb")
 		queryNm = flag.String("query", "", "named suite query (e.g. q3 for tpch, 8d for imdb); default: the dataset's demo query")
 		queryTx = flag.String("q", "", "inline datalog query text (overrides -query)")
-		timeout = flag.Duration("timeout", 2500*time.Millisecond, "exact-computation budget per output tuple (0 = unbounded)")
 		top     = flag.Int("top", 10, "how many facts to print per output tuple")
 		scale   = flag.Float64("scale", 1.0, "dataset scale factor for tpch/imdb")
 		method  = flag.String("method", "hybrid", "hybrid (exact with proxy fallback) or proxy (force CNF Proxy via zero budget)")
-		workers = flag.Int("workers", 0, "pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
-		cworker = flag.Int("compile-workers", 0, "knowledge-compiler component fan-out (0 = inherit the per-tuple worker share, negative = GOMAXPROCS, 1 = sequential)")
-		spec    = flag.Bool("speculate", false, "compile hi/lo cofactors of shallow Shannon decisions concurrently (parallelism for single-component lineages)")
-		folio   = flag.Bool("portfolio", false, "race variable-ordering heuristics per CNF, first finisher wins (needs ≥2 compile workers)")
-		cache   = flag.Int("cache", 0, "compiled-circuit cache size (0 = default, negative = disabled)")
-		nocanon = flag.Bool("nocanon", false, "key the compile cache byte-identically instead of by canonical (rename-invariant) form")
-		strat   = flag.String("strategy", "auto", "Algorithm 1 evaluation mode: auto, per-fact, or gradient")
 		asJSON  = flag.Bool("json", false, "emit the machine-readable wire encoding (the same JSON the shapleyd service serves) instead of text")
 		approx  = flag.Bool("approx", false, "skip the exact pipeline and sample Shapley estimates with 95% confidence intervals")
-		budget  = flag.Duration("budget", 0, "anytime budget: exact-attempt deadline before degrading to sampled estimates (0 = no anytime tier)")
-		minSamp = flag.Int("approx-min-samples", 0, "sampling minimum permutation count (0 = sampler default)")
-		seed    = flag.Int64("seed", 0, "sampling seed perturbation (0 = the canonical lineage-derived seed)")
 		doTrace = flag.Bool("trace", false, "record per-stage spans (ground, tseytin, compile, shapley, ...) and print the span tree — or attach it to -json output")
 	)
+	flag.DurationVar(&opts.Budget.Deadline, "budget", 0, "anytime budget: exact-attempt deadline before degrading to sampled estimates (0 = no anytime tier)")
+	flag.Int64Var(&opts.Budget.Seed, "seed", 0, "sampling seed perturbation (0 = the canonical lineage-derived seed)")
 	flag.Parse()
-
-	strategy, err := repro.ParseShapleyStrategy(*strat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shapley:", err)
-		os.Exit(1)
-	}
 
 	// Interrupt cancels the in-flight explanation instead of killing the
 	// process mid-print.
@@ -78,25 +65,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := repro.Options{
-		Timeout:          *timeout,
-		Workers:          *workers,
-		CompileWorkers:   *cworker,
-		Speculate:        *spec,
-		Portfolio:        *folio,
-		CacheSize:        *cache,
-		NoCanonicalCache: *nocanon,
-		Strategy:         strategy,
-	}
 	if *method == "proxy" {
 		// A 1-node budget forces the proxy path without waiting.
 		opts.MaxNodes = 1
 		opts.Timeout = time.Millisecond
-	}
-	opts.Budget = repro.ExplainBudget{
-		Deadline:   *budget,
-		MinSamples: *minSamp,
-		Seed:       *seed,
 	}
 	if *approx {
 		opts.Budget.Mode = repro.ModeApproximate

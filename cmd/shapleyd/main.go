@@ -39,30 +39,23 @@ import (
 )
 
 func main() {
+	var opts repro.Options
+	opts.RegisterFlags(flag.CommandLine)
+	flag.StringVar(&opts.Storage, "store", "", "storage backend for served datasets: memory (default) or sorted")
+	flag.IntVar(&opts.IndexBudget, "indexes", 0, "per-relation secondary-index budget (0 = backend default)")
+	flag.DurationVar(&opts.Budget.Deadline, "explain-budget", 0, "per-explain exact-attempt deadline before degrading to sampled estimates with confidence intervals (0 = no anytime tier)")
+	flag.IntVar(&opts.Budget.MaxNodes, "explain-max-nodes", 0, "per-explain compiled-circuit node budget before degrading to sampled estimates (0 = no node trigger)")
+	flag.Float64Var(&opts.Budget.TargetCI, "approx-target-ci", 0, "sampling fallback's target 95%-CI half-width, in (0,1) (0 = sampler default)")
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		datasets = flag.String("datasets", "flights", "comma-separated datasets to serve: flights, tpch, imdb")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor for tpch/imdb")
 		poolSize = flag.Int("pool", server.DefaultPoolSize, "session pool capacity (warm (dataset, query) sessions; LRU beyond)")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
-		timeout  = flag.Duration("timeout", 2500*time.Millisecond, "exact-computation budget per output tuple (0 = unbounded)")
-		workers  = flag.Int("workers", 0, "per-request pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
-		cworker  = flag.Int("compile-workers", 0, "knowledge-compiler component fan-out (0 = inherit, -1 = GOMAXPROCS, 1 = sequential)")
-		spec     = flag.Bool("speculate", false, "compile hi/lo cofactors of shallow Shannon decisions concurrently (parallelism for single-component lineages)")
-		folio    = flag.Bool("portfolio", false, "race variable-ordering heuristics per CNF, first finisher wins (needs \u22652 compile workers)")
-		cache    = flag.Int("cache", 0, "compiled-circuit cache size (0 = default, -1 = disabled)")
-		nocanon  = flag.Bool("nocanon", false, "key the compile cache byte-identically instead of canonically")
-		strat    = flag.String("strategy", "auto", "Algorithm 1 evaluation mode: auto, per-fact, or gradient")
-		store    = flag.String("store", "", "storage backend for served datasets: memory (default) or sorted")
 		storeDir = flag.String("store-dir", "", "with -store sorted: persist each dataset under <dir>/<name> (reloaded on restart)")
-		indexes  = flag.Int("indexes", 0, "per-relation secondary-index budget (0 = backend default)")
 		fsync    = flag.String("fsync", "every", "WAL sync policy for persistent stores: always, every, every=N, or onclose")
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline for explain/update (0 = none); expired requests get 504")
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing requests per work route (0 = unbounded); excess sheds with 429 + Retry-After")
-		ebudget  = flag.Duration("explain-budget", 0, "per-explain exact-attempt deadline before degrading to sampled estimates with confidence intervals (0 = no anytime tier)")
-		emaxn    = flag.Int("explain-max-nodes", 0, "per-explain compiled-circuit node budget before degrading to sampled estimates (0 = no node trigger)")
-		aminsamp = flag.Int("approx-min-samples", 0, "sampling fallback's minimum permutation count (0 = sampler default)")
-		atarget  = flag.Float64("approx-target-ci", 0, "sampling fallback's target 95%-CI half-width, in (0,1) (0 = sampler default)")
 		slowTO   = flag.Duration("slow-explain", 0, "wall-clock threshold past which an explain is logged and kept (with its stage trace) in the /v1/debug/slow ring (0 = disabled)")
 		slowCap  = flag.Int("slow-log-size", 0, "slow-explain ring capacity (0 = default)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (loopback clients only)")
@@ -81,10 +74,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	strategy, err := repro.ParseShapleyStrategy(*strat)
-	if err != nil {
-		fatal("bad -strategy", err)
-	}
 	syncPolicy, err := repro.ParseSyncPolicy(*fsync)
 	if err != nil {
 		fatal("bad -fsync", err)
@@ -99,29 +88,12 @@ func main() {
 		SlowThreshold:  *slowTO,
 		SlowLogSize:    *slowCap,
 		EnablePprof:    *pprofOn,
-		Options: repro.Options{
-			Timeout:          *timeout,
-			Workers:          *workers,
-			CompileWorkers:   *cworker,
-			Speculate:        *spec,
-			Portfolio:        *folio,
-			CacheSize:        *cache,
-			NoCanonicalCache: *nocanon,
-			Strategy:         strategy,
-			Storage:          *store,
-			IndexBudget:      *indexes,
-			Budget: repro.ExplainBudget{
-				Deadline:   *ebudget,
-				MaxNodes:   *emaxn,
-				MinSamples: *aminsamp,
-				TargetCI:   *atarget,
-			},
-		},
+		Options:        opts,
 	}
 	if err := cfg.Options.Validate(); err != nil {
 		fatal("invalid options", err)
 	}
-	if *storeDir != "" && *store != repro.BackendSorted {
+	if *storeDir != "" && opts.Storage != repro.BackendSorted {
 		fatal("bad flags", fmt.Errorf("-store-dir requires -store %s", repro.BackendSorted))
 	}
 	for _, name := range strings.Split(*datasets, ",") {
@@ -145,7 +117,7 @@ func main() {
 		// downstream notices). A directory already holding a persisted copy
 		// — including updates served by previous runs — is reloaded instead
 		// of being overwritten by the freshly generated dataset.
-		if *store != "" && *store != repro.BackendMemory {
+		if opts.Storage != "" && opts.Storage != repro.BackendMemory {
 			dir := ""
 			if *storeDir != "" {
 				dir = filepath.Join(*storeDir, name)
@@ -163,9 +135,9 @@ func main() {
 					"torn_tail", info.Truncated, "dropped_bytes", info.DroppedBytes)
 				d = pd
 			} else {
-				md, err := d.Migrate(*store, dir)
+				md, err := d.Migrate(opts.Storage, dir)
 				if err != nil {
-					fatal(fmt.Sprintf("migrating %s to %s", name, *store), err)
+					fatal(fmt.Sprintf("migrating %s to %s", name, opts.Storage), err)
 				}
 				d = md
 				if err := d.SetSyncPolicy(syncPolicy); err != nil {
@@ -173,8 +145,8 @@ func main() {
 				}
 			}
 		}
-		if *indexes > 0 {
-			d.SetIndexBudget(*indexes)
+		if opts.IndexBudget > 0 {
+			d.SetIndexBudget(opts.IndexBudget)
 		}
 		cfg.Datasets[name] = d
 		logger.Info("dataset loaded", "dataset", name, "facts", d.NumFacts(),

@@ -52,7 +52,8 @@ func main() {
 	for _, timeout := range []time.Duration{
 		500 * time.Microsecond, 5 * time.Millisecond, 60 * time.Second,
 	} {
-		res, err := core.Hybrid(context.Background(), elin, endo, core.HybridOptions{Timeout: timeout})
+		opts := core.PipelineOptions{CompileTimeout: timeout, ShapleyTimeout: timeout}
+		res, err := core.Hybrid(context.Background(), elin, endo, opts, core.ExplainBudget{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,11 +62,12 @@ func main() {
 	}
 
 	// Quality check: proxy ranking vs exact ranking on this instance.
-	exact, err := core.Hybrid(context.Background(), elin, endo, core.HybridOptions{})
+	exact, err := core.Hybrid(context.Background(), elin, endo, core.PipelineOptions{}, core.ExplainBudget{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	proxy, err := core.Hybrid(context.Background(), elin, endo, core.HybridOptions{Timeout: time.Nanosecond, MaxNodes: 1})
+	starved := core.PipelineOptions{CompileTimeout: time.Nanosecond, ShapleyTimeout: time.Nanosecond, CompileMaxNodes: 1}
+	proxy, err := core.Hybrid(context.Background(), elin, endo, starved, core.ExplainBudget{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/db"
-	"repro/internal/dnnf"
 	"repro/internal/trace"
 )
 
@@ -56,51 +54,17 @@ type HybridResult struct {
 	DegradedCause string
 }
 
-// HybridOptions configures the hybrid strategy of Section 6.3.
-type HybridOptions struct {
-	// Timeout is the budget t for the exact computation (compilation plus
-	// Algorithm 1); the paper recommends 2.5 s. Zero disables the fallback
-	// and runs exact unconditionally.
-	Timeout time.Duration
-	// MaxNodes bounds the compiled d-DNNF size (the out-of-memory analogue).
-	MaxNodes int
-	// Workers fans Algorithm 1 out across goroutines (≤ 0 = GOMAXPROCS).
-	Workers int
-	// CompileWorkers fans the knowledge compiler's component decomposition
-	// out across goroutines (≤ 0 = GOMAXPROCS, 1 = sequential).
-	CompileWorkers int
-	// Speculate compiles shallow Shannon cofactors concurrently inside the
-	// knowledge compiler (the single-component parallelism source).
-	Speculate bool
-	// Portfolio races variable-ordering heuristics per CNF, first finisher
-	// wins and feeds the canonical cache.
-	Portfolio bool
-	// NoCanonicalCache keys Cache byte-identically instead of canonically.
-	NoCanonicalCache bool
-	// Strategy selects the Algorithm 1 evaluation mode (auto, per-fact, or
-	// gradient).
-	Strategy ShapleyStrategy
-	// Cache is an optional cross-call d-DNNF compilation cache.
-	Cache *dnnf.CompileCache
-	// CacheOwner tags Cache entries with the fact-ID universe's identity
-	// (the database ID), scoping fact-set invalidation; 0 = untagged.
-	CacheOwner uint64
-	// Budget, when Enabled, swaps the degradation target: exceeding it falls
-	// back to StageApprox (sampled estimates with confidence intervals)
-	// instead of the CNF Proxy, and ModeApproximate skips the exact attempt
-	// entirely. The zero budget leaves the classic exact→proxy hybrid
-	// untouched.
-	Budget ExplainBudget
-}
-
-// Hybrid runs the exact computation under a time budget and falls back to
-// CNF Proxy on timeout or memory exhaustion: first run the exact pipeline
-// with timeout t; if it fails, transform the provenance to CNF and rank the
-// facts by their proxy values. A non-nil error is returned only when ctx
-// itself is cancelled — budget exhaustion is what the proxy fallback is for,
-// but a caller that gave up wants neither answer.
-func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts HybridOptions) (*HybridResult, error) {
-	return HybridAt(ctx, elin, endo, 0, nil, opts)
+// Hybrid runs the degradation ladder of Section 6.3 on one lineage: the
+// exact pipeline under opts' limits first (the paper recommends
+// CompileTimeout = ShapleyTimeout = t = 2.5 s), then a fallback when the
+// attempt exceeds them. With the budget b disabled the fallback is CNF
+// Proxy; with b enabled it is StageApprox, b.MaxNodes tightens
+// opts.CompileMaxNodes, b.Deadline bounds the attempt's wall clock, and
+// ModeApproximate skips the attempt. A non-nil error is returned only when
+// ctx itself is cancelled — budget exhaustion is what the fallback is for,
+// but a caller that gave up wants no answer.
+func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts PipelineOptions, b ExplainBudget) (*HybridResult, error) {
+	return HybridAt(ctx, elin, endo, 0, nil, opts, b)
 }
 
 // HybridAt is Hybrid for a lineage at a given epoch, reusing per-stage
@@ -108,53 +72,65 @@ func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts Hybr
 // disables reuse). It is the session-facing entry point: a long-lived
 // session passes each tuple's Artifacts across Explain calls so that only
 // the stages invalidated by updates are recomputed.
-func HybridAt(ctx context.Context, elin *circuit.Node, endo []db.FactID, epoch uint64, art *Artifacts, opts HybridOptions) (*HybridResult, error) {
-	if opts.Budget.Enabled() {
-		return hybridBudgetedAt(ctx, elin, endo, epoch, art, opts)
-	}
+func HybridAt(ctx context.Context, elin *circuit.Node, endo []db.FactID, epoch uint64, art *Artifacts, opts PipelineOptions, b ExplainBudget) (*HybridResult, error) {
 	start := time.Now()
-	popts := PipelineOptions{
-		CompileTimeout:   opts.Timeout,
-		ShapleyTimeout:   opts.Timeout,
-		CompileMaxNodes:  opts.MaxNodes,
-		Workers:          opts.Workers,
-		CompileWorkers:   opts.CompileWorkers,
-		Speculate:        opts.Speculate,
-		Portfolio:        opts.Portfolio,
-		NoCanonicalCache: opts.NoCanonicalCache,
-		Strategy:         opts.Strategy,
-		Cache:            opts.Cache,
-		CacheOwner:       opts.CacheOwner,
+	budgeted := b.Enabled()
+	var res *PipelineResult
+	var err error
+	if b.Mode != ModeApproximate {
+		// The budget deadline is layered over the caller's context, like
+		// ShapleyStage's stage deadline: when it fires we degrade, when the
+		// caller's own context fires we abort.
+		ectx := ctx
+		if budgeted {
+			if b.MaxNodes > 0 && (opts.CompileMaxNodes == 0 || b.MaxNodes < opts.CompileMaxNodes) {
+				opts.CompileMaxNodes = b.MaxNodes
+			}
+			if b.Deadline > 0 {
+				var cancel context.CancelFunc
+				ectx, cancel = context.WithTimeout(ctx, b.Deadline)
+				defer cancel()
+			}
+		}
+		res, err = ExplainCircuitAt(ectx, elin, endo, epoch, art, opts)
+		if err == nil {
+			return &HybridResult{
+				Method:  MethodExact,
+				Values:  res.Values,
+				Ranking: res.Values.Ranking(),
+				Exact:   res,
+				Elapsed: time.Since(start),
+			}, nil
+		}
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
 	}
-	res, err := ExplainCircuitAt(ctx, elin, endo, epoch, art, popts)
-	if err == nil {
+	cause := degradeCause(b, err)
+	if !budgeted {
+		// The Tseytin CNF was already produced by the exact attempt (it
+		// never times out: it is linear in the circuit).
+		_, psp := trace.Start(ctx, "proxy")
+		psp.Set("cause", cause)
+		proxy := CNFProxy(res.CNF, endo)
+		psp.End()
 		return &HybridResult{
-			Method:  MethodExact,
-			Values:  res.Values,
-			Ranking: res.Values.Ranking(),
+			Method:  MethodProxy,
+			Proxy:   proxy,
+			Ranking: proxy.Ranking(),
 			Exact:   res,
 			Elapsed: time.Since(start),
 		}, nil
 	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
+	approx, err := approxStage(ctx, elin, endo, b, cause)
+	if err != nil {
+		return nil, err
 	}
-	// Exact failed within budget: fall back to CNF Proxy. The Tseytin CNF
-	// was already produced by the pipeline (it never times out: it is linear
-	// in the circuit).
-	_, psp := trace.Start(ctx, "proxy")
-	psp.Set("cause", degradeCause(opts.Budget, err))
-	formula := res.CNF
-	if formula == nil {
-		formula = cnf.TseytinReserving(elin, maxFactID(endo))
-	}
-	proxy := CNFProxy(formula, endo)
-	psp.End()
 	return &HybridResult{
-		Method:  MethodProxy,
-		Proxy:   proxy,
-		Ranking: proxy.Ranking(),
-		Exact:   res,
-		Elapsed: time.Since(start),
+		Method:        MethodApprox,
+		Approx:        approx,
+		Ranking:       approx.Ranking(),
+		Elapsed:       time.Since(start),
+		DegradedCause: cause,
 	}, nil
 }

@@ -10,7 +10,7 @@ import (
 
 func TestHybridExactPath(t *testing.T) {
 	elin, endo, fs := flightsELin(t)
-	res, err := Hybrid(context.Background(), elin, endo, HybridOptions{Timeout: 10 * time.Second})
+	res, err := Hybrid(context.Background(), elin, endo, PipelineOptions{CompileTimeout: 10 * time.Second, ShapleyTimeout: 10 * time.Second}, ExplainBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestHybridFallsBackToProxy(t *testing.T) {
 	elin, endo, fs := flightsELin(t)
 	// A node budget of 1 forces the compiler to fail immediately,
 	// exercising the out-of-memory fallback path.
-	res, err := Hybrid(context.Background(), elin, endo, HybridOptions{Timeout: 10 * time.Second, MaxNodes: 1})
+	res, err := Hybrid(context.Background(), elin, endo, PipelineOptions{CompileTimeout: 10 * time.Second, ShapleyTimeout: 10 * time.Second, CompileMaxNodes: 1}, ExplainBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestHybridPropagatesCancellation(t *testing.T) {
 	elin, endo, _ := flightsELin(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Hybrid(ctx, elin, endo, HybridOptions{Timeout: time.Second})
+	res, err := Hybrid(ctx, elin, endo, PipelineOptions{CompileTimeout: time.Second, ShapleyTimeout: time.Second}, ExplainBudget{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -106,6 +106,16 @@ func (inc *Incremental) Epoch() uint64 { return inc.epoch }
 // Len returns the current number of answers without rebuilding any lineage.
 func (inc *Incremental) Len() int { return len(inc.answers) }
 
+// AnswerEpoch returns the epoch of the live answer keyed key, and whether
+// such an answer exists, without rebuilding any lineage.
+func (inc *Incremental) AnswerEpoch(key string) (uint64, bool) {
+	a, ok := inc.answers[key]
+	if !ok {
+		return 0, false
+	}
+	return a.epoch, true
+}
+
 // ensureIndex builds the fact→derivation reverse index from the current
 // derivation sets; later addDerivation/Delete calls keep it consistent.
 func (inc *Incremental) ensureIndex() {

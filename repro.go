@@ -30,6 +30,7 @@ package repro
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/big"
 	"sync"
@@ -334,6 +335,30 @@ func (o Options) Validate() error {
 		return fmt.Errorf("repro: Options.Strategy = %d is not a known ShapleyStrategy (use StrategyAuto, StrategyPerFact, or StrategyGradient)", o.Strategy)
 	}
 	return ValidateBudget(o.Budget)
+}
+
+// RegisterFlags binds the explain options shared by the command-line
+// surfaces to fs, with their CLI defaults: -timeout (2.5 s, the paper's
+// recommended hybrid budget), -workers, -compile-workers, -speculate,
+// -portfolio, -cache, -nocanon, -strategy, and -approx-min-samples. The
+// help texts describe exactly the values Validate accepts.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	fs.DurationVar(&o.Timeout, "timeout", 2500*time.Millisecond, "exact-computation budget per output tuple (0 = unbounded)")
+	fs.IntVar(&o.Workers, "workers", 0, "pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&o.CompileWorkers, "compile-workers", 0, "knowledge-compiler component fan-out (0 = inherit the per-tuple worker share, -1 = GOMAXPROCS, 1 = sequential)")
+	fs.BoolVar(&o.Speculate, "speculate", false, "compile hi/lo cofactors of shallow Shannon decisions concurrently (parallelism for single-component lineages)")
+	fs.BoolVar(&o.Portfolio, "portfolio", false, "race variable-ordering heuristics per CNF, first finisher wins (needs ≥2 compile workers)")
+	fs.IntVar(&o.CacheSize, "cache", 0, "compiled-circuit cache size (0 = default, -1 = disabled)")
+	fs.BoolVar(&o.NoCanonicalCache, "nocanon", false, "key the compile cache byte-identically instead of by canonical (rename-invariant) form")
+	o.Strategy = StrategyAuto
+	fs.Func("strategy", "Algorithm 1 evaluation mode: auto, per-fact, or gradient (default auto)", func(s string) error {
+		st, err := ParseShapleyStrategy(s)
+		if err == nil {
+			o.Strategy = st
+		}
+		return err
+	})
+	fs.IntVar(&o.Budget.MinSamples, "approx-min-samples", 0, "sampling fallback's minimum permutation count (0 = sampler default)")
 }
 
 // ValidateBudget checks an anytime-tier budget for values no configuration

@@ -418,6 +418,7 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 		compileWorkers = inner
 	}
 
+	popts := s.pipelineOptions(inner, compileWorkers)
 	out := make([]TupleExplanation, len(live))
 	err := parallel.ForEach(ctx, len(live), outer, func(_, i int) error {
 		a := live[i]
@@ -440,19 +441,7 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 			return nil
 		}
 		endo := lineageEndo(a.Lineage)
-		h, err := core.HybridAt(tctx, a.Lineage, endo, a.Epoch, entry.art, core.HybridOptions{
-			Timeout:          s.opts.Timeout,
-			MaxNodes:         s.opts.MaxNodes,
-			Workers:          inner,
-			CompileWorkers:   compileWorkers,
-			Speculate:        s.opts.Speculate,
-			Portfolio:        s.opts.Portfolio,
-			NoCanonicalCache: s.opts.NoCanonicalCache,
-			Strategy:         s.opts.Strategy,
-			Cache:            s.cache,
-			CacheOwner:       s.d.ID(),
-			Budget:           budget,
-		})
+		h, err := core.HybridAt(tctx, a.Lineage, endo, a.Epoch, entry.art, popts, budget)
 		if err != nil {
 			tsp.Set("error", err.Error())
 			tsp.End()
@@ -505,6 +494,26 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 		}
 	}
 	return out, nil
+}
+
+// pipelineOptions maps the session's Options onto the exact pipeline's
+// limits and compiler knobs, with the given Algorithm 1 and compiler
+// worker shares. Options.Timeout is the budget t of both the compile and
+// the Shapley stage.
+func (s *Session) pipelineOptions(workers, compileWorkers int) core.PipelineOptions {
+	return core.PipelineOptions{
+		CompileTimeout:   s.opts.Timeout,
+		ShapleyTimeout:   s.opts.Timeout,
+		CompileMaxNodes:  s.opts.MaxNodes,
+		Workers:          workers,
+		CompileWorkers:   compileWorkers,
+		Speculate:        s.opts.Speculate,
+		Portfolio:        s.opts.Portfolio,
+		NoCanonicalCache: s.opts.NoCanonicalCache,
+		Strategy:         s.opts.Strategy,
+		Cache:            s.cache,
+		CacheOwner:       s.d.ID(),
+	}
 }
 
 // scheduleUpgrade queues the background exact upgrade for one approximately
@@ -563,17 +572,7 @@ func (s *Session) upgradeTuple(key string) {
 			break
 		}
 	}
-	popts := core.PipelineOptions{
-		CompileTimeout:   s.opts.Timeout,
-		ShapleyTimeout:   s.opts.Timeout,
-		CompileMaxNodes:  s.opts.MaxNodes,
-		Workers:          1,
-		CompileWorkers:   1,
-		NoCanonicalCache: s.opts.NoCanonicalCache,
-		Strategy:         s.opts.Strategy,
-		Cache:            s.cache,
-		CacheOwner:       s.d.ID(),
-	}
+	popts := s.pipelineOptions(1, 1)
 	s.mu.Unlock()
 	if lineage == nil {
 		return // the tuple moved on; the next explain recomputes it anyway
@@ -680,8 +679,8 @@ func (s *Session) Stats() (SessionStats, error) {
 		Approximations: s.approxes,
 		Upgrades:       s.upgrades,
 	}
-	for _, t := range s.tuples {
-		if t.expl != nil {
+	for key, t := range s.tuples {
+		if epoch, live := s.inc.AnswerEpoch(key); live && t.expl != nil && t.epoch == epoch {
 			st.CachedExplanations++
 		}
 	}

@@ -202,6 +202,62 @@ func TestSessionReusesUnchangedTuples(t *testing.T) {
 	}
 }
 
+// TestSessionStatsCountsCurrentExplanations: an update that changes one
+// tuple's lineage makes that tuple's cached explanation stale, so
+// CachedExplanations drops by exactly one until the next Explain.
+func TestSessionStatsCountsCurrentExplanations(t *testing.T) {
+	d := NewDatabase()
+	d.CreateRelation("R", "a", "b")
+	d.CreateRelation("S", "a", "b")
+	d.MustInsert("R", true, Int(1), Int(10))
+	d.MustInsert("S", true, Int(10), Int(100))
+	d.MustInsert("R", true, Int(2), Int(20))
+	d.MustInsert("S", true, Int(20), Int(200))
+	q, err := ParseQuery(`q(x) :- R(x, y), S(y, z)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(d, q, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cached := func() int {
+		t.Helper()
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Answers != 2 {
+			t.Fatalf("Stats.Answers = %d, want 2", st.Answers)
+		}
+		return st.CachedExplanations
+	}
+
+	if got := cached(); got != 0 {
+		t.Fatalf("CachedExplanations before any Explain = %d, want 0", got)
+	}
+	if _, err := s.Explain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := cached(); got != 2 {
+		t.Fatalf("CachedExplanations after Explain = %d, want 2", got)
+	}
+	// A second S fact joining R(2, 20) adds a derivation to answer 2 only.
+	if _, err := s.Insert("S", true, Int(20), Int(201)); err != nil {
+		t.Fatal(err)
+	}
+	if got := cached(); got != 1 {
+		t.Fatalf("CachedExplanations after changing one lineage = %d, want 1", got)
+	}
+	if _, err := s.Explain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := cached(); got != 2 {
+		t.Fatalf("CachedExplanations after re-Explain = %d, want 2", got)
+	}
+}
+
 // sameValues reports whether two Values maps are the same map (reference
 // identity — the session serves cached explanations without copying).
 func sameValues(a, b Values) bool {

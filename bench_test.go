@@ -272,28 +272,6 @@ func BenchmarkAblationVarOrder(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationExactVsFloatCounts compares the exact big-integer
-// #SAT_k dynamic program against the float64 variant (which loses exactness
-// on large circuits and is therefore not used by Algorithm 1).
-func BenchmarkAblationExactVsFloatCounts(b *testing.B) {
-	f := hardCNF(b)
-	compiled, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reduced := dnnf.EliminateAux(compiled, func(v int) bool { return f.Aux[v] })
-	b.Run("counts=big.Int", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = core.ComputeAllSATk(reduced)
-		}
-	})
-	b.Run("counts=float64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = core.FloatSATk(reduced)
-		}
-	})
-}
-
 // --- parallel pipeline benchmarks ---
 
 // parallelWorkload compiles the largest successful corpus tuple (a TPC-H or

@@ -28,9 +28,18 @@ package core
 //   Γ_f(z) − Δ_f(z) = D_{ℓ⁺}(z) − D_{ℓ⁻}(z)
 //
 // padded to the endogenous universe exactly as the per-fact path pads its
-// conditioned counts. The total cost is O(|C|·n²) big-int work for ALL facts
-// — an asymptotic factor-n improvement over the per-fact path's
+// conditioned counts. The total cost is O(|C|·n²) coefficient operations for
+// ALL facts — an asymptotic factor-n improvement over the per-fact path's
 // O(n·|C|·n²) — and both passes are level-synchronously parallel.
+//
+// The passes are written once over the arith vector operations. When the
+// circuit support is at most maxFixedSupport they run on overflow-checked
+// uint64 vectors carved from pointer-free chunks, so they allocate little
+// and give the garbage collector nothing to scan; each worker keeps a
+// sticky overflow flag that is checked after every level, and an overflow
+// reruns both passes on big.Int. Only the literal-leaf derivatives are
+// converted to big.Int; the universe padding and the big.Rat combination
+// are exact on either path.
 
 import (
 	"context"
@@ -45,80 +54,120 @@ import (
 // shapleyAllGradient computes the Shapley value of every endogenous fact via
 // the two-pass gradient algorithm. It is exactly equivalent to the per-fact
 // path (big.Rat-identical results); coefs must be ShapleyCoefficients(n).
-func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, coefs []*big.Rat) (Values, error) {
-	n := len(endo)
-	out := make(Values, n)
+// It also reports which arithmetic the passes ran on.
+func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, coefs []*big.Rat) (Values, arithKind, error) {
 	support := len(c.Vars())
 	if support == 0 {
 		// Constant circuit: every fact is a null player.
+		out := make(Values, len(endo))
 		for _, f := range endo {
 			out[f] = new(big.Rat)
 		}
-		return out, ctx.Err()
+		return out, arithU64, ctx.Err()
 	}
+	kind := arithBig
+	if support <= maxFixedSupport {
+		kind = arithU64
+	}
+	lits, overflow, err := gradientDerivs(ctx, c, workers, kind == arithU64)
+	if err == nil && overflow {
+		kind = arithOverflow
+		lits, _, err = gradientDerivs(ctx, c, workers, false)
+	}
+	if err != nil {
+		return nil, kind, err
+	}
+	vals, err := gradientValues(ctx, lits, endo, support, workers, coefs)
+	return vals, kind, err
+}
 
+// litDerivs holds the summed root derivative of every literal leaf: pos[v]
+// for the leaves v and neg[v] for the leaves ¬v.
+type litDerivs struct{ pos, neg map[int][]*big.Int }
+
+// gradientDerivs runs both passes of the gradient DP over c and harvests
+// the literal-leaf derivatives as big.Ints. fixed selects the uint64
+// arithmetic, which reports overflow (with zero-value lits) instead of
+// returning wrapped values; otherwise the passes run on big.Int.
+func gradientDerivs(ctx context.Context, c *dnnf.Node, workers int, fixed bool) (litDerivs, bool, error) {
 	order, maxID := flattenDNNF(c)
 	levels := levelize(order, maxID)
 	workers = parallel.Workers(workers)
+	if fixed {
+		return runGradient(ctx, c, order, levels, maxID, u64Ariths(workers))
+	}
+	return runGradient(ctx, c, order, levels, maxID, bigAriths(workers))
+}
 
+// runGradient is the two passes and the harvest on one arithmetic, with
+// ars[w] owned by worker w.
+func runGradient[E any](ctx context.Context, c *dnnf.Node, order []*dnnf.Node, levels [][]*dnnf.Node, maxID int, ars []arith[E]) (litDerivs, bool, error) {
 	// Pass 1 (bottom-up): per-node #SAT_k vectors over each node's own
 	// support, deepest level first so every child is ready before its
 	// parents. Nodes within a level are independent.
-	counts := make([][]*big.Int, maxID+1)
+	// Each pass builds its closure once and points it at the current level.
+	counts := make([][]E, maxID+1)
+	var nodes []*dnnf.Node
+	up := func(w, i int) error {
+		m := nodes[i]
+		counts[m.ID()] = satkNode(ars[w], m, counts)
+		return nil
+	}
 	for l := len(levels) - 1; l >= 0; l-- {
-		nodes := levels[l]
-		err := parallel.ForEach(ctx, len(nodes), workers, func(_, i int) error {
-			m := nodes[i]
-			counts[m.ID()] = satkNode(m, counts)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		nodes = levels[l]
+		if err := parallel.ForEach(ctx, len(nodes), len(ars), up); err != nil {
+			return litDerivs{}, false, err
+		}
+		if anyOverflow(ars) {
+			return litDerivs{}, true, nil
 		}
 	}
 
 	// Pass 2 (top-down): derivative vectors, root level first so every
 	// node's derivative is final before it propagates to its children. Two
 	// same-level nodes may share a child, so accumulation into a child is
-	// guarded by a per-node mutex; big.Int addition is exact, so the
-	// accumulation order cannot change the result.
-	deriv := make([][]*big.Int, maxID+1)
+	// guarded by a per-node mutex; the arithmetic is exact (or reports
+	// overflow), so the accumulation order cannot change the result.
+	deriv := make([][]E, maxID+1)
 	locks := make([]sync.Mutex, maxID+1)
-	deriv[c.ID()] = []*big.Int{big.NewInt(1)}
+	deriv[c.ID()] = ars[0].unit(1, 0)
+	down := func(w, i int) error {
+		propagateDeriv(ars[w], nodes[i], counts, deriv, locks)
+		return nil
+	}
 	for l := 0; l < len(levels); l++ {
-		nodes := levels[l]
-		err := parallel.ForEach(ctx, len(nodes), workers, func(_, i int) error {
-			propagateDeriv(nodes[i], counts, deriv, locks)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		nodes = levels[l]
+		if err := parallel.ForEach(ctx, len(nodes), len(ars), down); err != nil {
+			return litDerivs{}, false, err
+		}
+		if anyOverflow(ars) {
+			return litDerivs{}, true, nil
 		}
 	}
 
 	// Harvest per-literal derivatives. Builders hash-cons literals, so each
 	// literal normally has one leaf; summing keeps this robust either way.
-	pos := make(map[int][]*big.Int)
-	neg := make(map[int][]*big.Int)
+	lits := litDerivs{pos: make(map[int][]*big.Int), neg: make(map[int][]*big.Int)}
 	for _, m := range order {
-		if m.Kind != dnnf.KindLit {
+		if m.Kind != dnnf.KindLit || deriv[m.ID()] == nil {
 			continue
 		}
-		d := deriv[m.ID()]
-		if d == nil {
-			continue
-		}
+		d := ars[0].toBig(deriv[m.ID()])
 		if m.Lit > 0 {
-			pos[m.Lit] = addLitDeriv(pos[m.Lit], d)
+			lits.pos[m.Lit] = addLitDeriv(lits.pos[m.Lit], d)
 		} else {
-			neg[-m.Lit] = addLitDeriv(neg[-m.Lit], d)
+			lits.neg[-m.Lit] = addLitDeriv(lits.neg[-m.Lit], d)
 		}
 	}
+	return lits, false, nil
+}
 
-	// Γ_f − Δ_f = D_{ℓ⁺} − D_{ℓ⁻}, padded from the circuit support to the
-	// endogenous universe (facts outside the support pad both conditioned
-	// vectors identically, so the padded difference is the difference
-	// padded).
+// gradientValues turns literal derivatives into Shapley values:
+// Γ_f − Δ_f = D_{ℓ⁺} − D_{ℓ⁻}, padded from the circuit support to the
+// endogenous universe (facts outside the support pad both conditioned
+// vectors identically, so the padded difference is the difference padded).
+func gradientValues(ctx context.Context, lits litDerivs, endo []db.FactID, support, workers int, coefs []*big.Rat) (Values, error) {
+	n := len(endo)
 	pad := n - support
 	if pad < 0 {
 		// Mirror the per-fact path, which panics in PadToUniverse when the
@@ -128,14 +177,14 @@ func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID, wor
 	vals := make([]*big.Rat, n)
 	err := parallel.ForEach(ctx, n, workers, func(_, i int) error {
 		f := int(endo[i])
-		p, q := pos[f], neg[f]
+		p, q := lits.pos[f], lits.neg[f]
 		if p == nil && q == nil {
 			vals[i] = new(big.Rat) // null player (outside the support)
 			return nil
 		}
 		diff := subCounts(p, q, support)
 		if pad > 0 {
-			diff = convolve(diff, binomialRow(pad))
+			diff = convolve[*big.Int](bigArith{}, diff, binomialRow(pad))
 		}
 		vals[i] = weightedDiff(diff, coefs)
 		return nil
@@ -143,6 +192,7 @@ func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID, wor
 	if err != nil {
 		return nil, err
 	}
+	out := make(Values, n)
 	for i, f := range endo {
 		out[f] = vals[i]
 	}
@@ -172,7 +222,19 @@ func levelize(order []*dnnf.Node, maxID int) [][]*dnnf.Node {
 			}
 		}
 	}
+	// Carve every level from one backing array, sized by a counting pass.
+	start := make([]int, maxLevel+2)
+	for _, m := range order {
+		start[level[m.ID()]+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	backing := make([]*dnnf.Node, len(order))
 	levels := make([][]*dnnf.Node, maxLevel+1)
+	for l := range levels {
+		levels[l] = backing[start[l]:start[l]:start[l+1]]
+	}
 	for _, m := range order {
 		l := level[m.ID()]
 		levels[l] = append(levels[l], m)
@@ -187,7 +249,7 @@ func levelize(order []*dnnf.Node, maxID int) [][]*dnnf.Node {
 // per child instead of a quadratic sweep. For an ∨-gate the contribution is
 // D_g padded by the child's gap-variable binomial row, mirroring the
 // bottom-up smoothing.
-func propagateDeriv(g *dnnf.Node, counts, deriv [][]*big.Int, locks []sync.Mutex) {
+func propagateDeriv[E any](ar arith[E], g *dnnf.Node, counts, deriv [][]E, locks []sync.Mutex) {
 	dg := deriv[g.ID()]
 	if dg == nil || len(g.Children) == 0 {
 		return
@@ -195,29 +257,35 @@ func propagateDeriv(g *dnnf.Node, counts, deriv [][]*big.Int, locks []sync.Mutex
 	switch g.Kind {
 	case dnnf.KindAnd:
 		k := len(g.Children)
-		// pref[i] = D_g ⊛ V_0 ⊛ … ⊛ V_{i−1}
-		pref := make([][]*big.Int, k)
+		// pref[i] = D_g ⊛ V_0 ⊛ … ⊛ V_{i−1}; most gates are small enough
+		// for the stack.
+		var small [4][]E
+		pref := small[:0]
+		if k > len(small) {
+			pref = make([][]E, 0, k)
+		}
+		pref = pref[:k]
 		pref[0] = dg
 		for i := 1; i < k; i++ {
-			pref[i] = convolve(pref[i-1], counts[g.Children[i-1].ID()])
+			pref[i] = convolve(ar, pref[i-1], counts[g.Children[i-1].ID()])
 		}
 		// Walk right-to-left maintaining the suffix product V_{i+1} ⊛ … so
 		// child i receives pref[i] ⊛ suffix.
-		var suf []*big.Int
+		var suf []E
 		for i := k - 1; i >= 0; i-- {
 			contrib := pref[i]
 			owned := i >= 1 // pref[i≥1] is a fresh convolve output
 			if suf != nil {
-				contrib = convolve(pref[i], suf)
+				contrib = convolve(ar, pref[i], suf)
 				owned = true
 			}
-			addDeriv(g.Children[i], contrib, owned, deriv, locks)
+			addDeriv(ar, g.Children[i], contrib, owned, deriv, locks)
 			if i > 0 {
 				cv := counts[g.Children[i].ID()]
 				if suf == nil {
 					suf = cv
 				} else {
-					suf = convolve(suf, cv)
+					suf = convolve(ar, suf, cv)
 				}
 			}
 		}
@@ -225,9 +293,9 @@ func propagateDeriv(g *dnnf.Node, counts, deriv [][]*big.Int, locks []sync.Mutex
 		for _, ch := range g.Children {
 			gap := len(g.Vars()) - len(ch.Vars())
 			if gap > 0 {
-				addDeriv(ch, convolve(dg, binomialRow(gap)), true, deriv, locks)
+				addDeriv(ar, ch, convolve(ar, dg, ar.binomial(gap)), true, deriv, locks)
 			} else {
-				addDeriv(ch, dg, false, deriv, locks)
+				addDeriv(ar, ch, dg, false, deriv, locks)
 			}
 		}
 	}
@@ -235,25 +303,24 @@ func propagateDeriv(g *dnnf.Node, counts, deriv [][]*big.Int, locks []sync.Mutex
 
 // addDeriv accumulates a parent's contribution into a child's derivative
 // under the child's lock. owned marks vectors the caller will never reuse,
-// which may be adopted directly as the accumulator; shared vectors are
-// copied first. All contributions to one child have identical length
-// (|support(root)| − |support(child)| + 1).
-func addDeriv(c *dnnf.Node, vec []*big.Int, owned bool, deriv [][]*big.Int, locks []sync.Mutex) {
+// which may be adopted directly as the accumulator or else are released;
+// shared vectors are copied first. All contributions to one child have
+// identical length (|support(root)| − |support(child)| + 1).
+func addDeriv[E any](ar arith[E], c *dnnf.Node, vec []E, owned bool, deriv [][]E, locks []sync.Mutex) {
 	id := c.ID()
 	locks[id].Lock()
 	defer locks[id].Unlock()
 	cur := deriv[id]
 	if cur == nil {
 		if !owned {
-			vec = copyCounts(vec)
+			vec = ar.clone(vec)
 		}
 		deriv[id] = vec
 		return
 	}
-	for i, vi := range vec {
-		if vi.Sign() != 0 {
-			cur[i].Add(cur[i], vi)
-		}
+	ar.add(cur, vec)
+	if owned {
+		ar.release(vec)
 	}
 }
 

@@ -331,12 +331,6 @@ func TestBinomialRowMemoized(t *testing.T) {
 			t.Fatal("repeated binomialRow call disagrees with itself")
 		}
 	}
-	frow := binomialRowFloat(6)
-	for k, v := range []float64{1, 6, 15, 20, 15, 6, 1} {
-		if frow[k] != v {
-			t.Fatalf("binomialRowFloat(6)[%d] = %v, want %v", k, frow[k], v)
-		}
-	}
 }
 
 // TestShapleyCoefficientsCopies: the public accessor hands out mutable

@@ -10,6 +10,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/dnnf"
 	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 // Values maps endogenous fact IDs to their exact Shapley values.
@@ -188,8 +189,8 @@ func ShapleyOfFact(c *dnnf.Node, endo []db.FactID, f db.FactID) *big.Rat {
 	}
 	coefs := shapleyCoefficients(n)
 	b := dnnf.NewBuilder()
-	gamma := conditionedCounts(b, c, int(f), true, n-1)
-	delta := conditionedCounts(b, c, int(f), false, n-1)
+	gamma, _ := conditionedCounts(b, c, int(f), true, n-1)
+	delta, _ := conditionedCounts(b, c, int(f), false, n-1)
 	return weightedDifference(gamma, delta, coefs)
 }
 
@@ -209,17 +210,28 @@ func ShapleyAll(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int
 // Both fan out across `workers` goroutines (≤ 0 means GOMAXPROCS, 1 forces
 // the serial path): per-fact across facts, gradient level-synchronously
 // inside its two circuit passes. The Shapley coefficients for n are computed
-// once per answer (memoized across strategy attempts and calls).
+// once per answer (memoized across strategy attempts and calls). When ctx
+// carries a trace span, it records the count arithmetic the DPs ran on:
+// arith "u64" or "big", and overflow when a fixed-width run fell back.
 func ShapleyAllStrategy(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, strategy ShapleyStrategy) (Values, error) {
 	n := len(endo)
 	if n == 0 {
 		return make(Values), nil
 	}
 	coefs := shapleyCoefficients(n)
+	var vals Values
+	var kind arithKind
+	var err error
 	if resolveStrategy(strategy, n, c) == StrategyGradient {
-		return shapleyAllGradient(ctx, c, endo, workers, coefs)
+		vals, kind, err = shapleyAllGradient(ctx, c, endo, workers, coefs)
+	} else {
+		vals, kind, err = shapleyAllPerFact(ctx, c, endo, workers, coefs)
 	}
-	return shapleyAllPerFact(ctx, c, endo, workers, coefs)
+	if err != nil {
+		return nil, err
+	}
+	kind.annotate(trace.Current(ctx))
+	return vals, nil
 }
 
 // shapleyAllPerFact is the literal Algorithm 1: each fact conditions the
@@ -227,8 +239,9 @@ func ShapleyAllStrategy(ctx context.Context, c *dnnf.Node, endo []db.FactID, wor
 // The per-fact computations are independent, so they fan out across workers;
 // every fact gets a private dnnf.Builder so the dense #SAT_k memo stays
 // proportional to the conditioned circuit. Exact big.Rat arithmetic makes
-// the parallel result identical to the serial one.
-func shapleyAllPerFact(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, coefs []*big.Rat) (Values, error) {
+// the parallel result identical to the serial one. The reported arithmetic
+// is the most expensive any fact's #SAT_k runs needed.
+func shapleyAllPerFact(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, coefs []*big.Rat) (Values, arithKind, error) {
 	n := len(endo)
 	out := make(Values, n)
 	support := make(map[db.FactID]bool, len(c.Vars()))
@@ -236,6 +249,7 @@ func shapleyAllPerFact(ctx context.Context, c *dnnf.Node, endo []db.FactID, work
 		support[db.FactID(v)] = true
 	}
 	vals := make([]*big.Rat, n)
+	kinds := make([]arithKind, n)
 	err := parallel.ForEach(ctx, n, workers, func(_, i int) error {
 		f := endo[i]
 		if !support[f] {
@@ -243,26 +257,28 @@ func shapleyAllPerFact(ctx context.Context, c *dnnf.Node, endo []db.FactID, work
 			return nil
 		}
 		b := dnnf.NewBuilder()
-		gamma := conditionedCounts(b, c, int(f), true, n-1)
-		delta := conditionedCounts(b, c, int(f), false, n-1)
-		vals[i] = weightedDifference(gamma, delta, coefs)
+		gamma, gk := conditionedCounts(b, c, int(f), true, n-1)
+		delta, dk := conditionedCounts(b, c, int(f), false, n-1)
+		vals[i], kinds[i] = weightedDifference(gamma, delta, coefs), max(gk, dk)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, arithU64, err
 	}
+	kind := arithU64
 	for i, f := range endo {
 		out[f] = vals[i]
+		kind = max(kind, kinds[i])
 	}
-	return out, nil
+	return out, kind, nil
 }
 
 // conditionedCounts computes the #SAT_k vector of C[f→val], padded to a
 // universe of size universe (= |Dn|−1, the endogenous facts minus f).
-func conditionedCounts(b *dnnf.Builder, c *dnnf.Node, f int, val bool, universe int) []*big.Int {
+func conditionedCounts(b *dnnf.Builder, c *dnnf.Node, f int, val bool, universe int) ([]*big.Int, arithKind) {
 	cond := dnnf.Condition(b, c, map[int]bool{f: val})
-	counts := ComputeAllSATk(cond)
-	return PadToUniverse(counts, universe-len(cond.Vars()))
+	counts, kind := allSATk(cond)
+	return PadToUniverse(counts, universe-len(cond.Vars())), kind
 }
 
 // weightedDifference evaluates Σ_k coefs[k]·(Γ[k]−Δ[k]) as an exact

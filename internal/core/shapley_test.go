@@ -310,25 +310,6 @@ func TestValuesRankingDeterministic(t *testing.T) {
 	}
 }
 
-func TestFloatSATkMatchesExactOnSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 30; trial++ {
-		f := randomTestCNF(rng, 1+rng.Intn(5), 1+rng.Intn(5))
-		n, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := ComputeAllSATk(n)
-		approx := FloatSATk(n)
-		for k := range exact {
-			e, _ := new(big.Rat).SetInt(exact[k]).Float64()
-			if approx[k] != e {
-				t.Fatalf("trial %d: FloatSATk[%d] = %v, want %v", trial, k, approx[k], e)
-			}
-		}
-	}
-}
-
 // --- helpers ---
 
 // randomMonotoneCircuit builds a random negation-free circuit, the shape of

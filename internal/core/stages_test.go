@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/db"
 	"repro/internal/dnnf"
+	"repro/internal/trace"
 )
 
 // stageLineage builds a small two-route lineage over facts 1..4.
@@ -97,5 +98,29 @@ func TestArtifactsFailedCompileNotCached(t *testing.T) {
 	}
 	if len(res.Values) != 4 {
 		t.Fatalf("values for %d facts, want 4", len(res.Values))
+	}
+}
+
+// TestShapleySpanRecordsArithmetic: a traced explain records on its shapley
+// span which arithmetic the DP ran on — uint64 for this four-fact lineage,
+// with no fallback.
+func TestShapleySpanRecordsArithmetic(t *testing.T) {
+	elin, endo := stageLineage()
+	for _, strategy := range []ShapleyStrategy{StrategyPerFact, StrategyGradient} {
+		ctx, root := trace.NewRoot(context.Background(), "explain", nil)
+		if _, err := ExplainCircuitAt(ctx, elin, endo, 1, nil, PipelineOptions{Strategy: strategy}); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		sp := root.Snapshot().Find(string(StageShapley))
+		if sp == nil {
+			t.Fatalf("%v: no shapley span", strategy)
+		}
+		if sp.Attrs["arith"] != "u64" {
+			t.Errorf("%v: arith = %v, want u64", strategy, sp.Attrs["arith"])
+		}
+		if _, ok := sp.Attrs["overflow"]; ok {
+			t.Errorf("%v: overflow attribute set without a fallback", strategy)
+		}
 	}
 }

@@ -60,7 +60,7 @@ func NewRoot(ctx context.Context, name string, obs Observer) (context.Context, *
 // carries no span (tracing disabled) it returns ctx unchanged and a nil
 // span; the caller can use both return values unconditionally.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
-	parent, _ := ctx.Value(ctxKey{}).(*Span)
+	parent := Current(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
@@ -76,8 +76,14 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 // timings directly to an observer can use this to avoid double counting
 // when a trace is collecting.
 func Active(ctx context.Context) bool {
+	return Current(ctx) != nil
+}
+
+// Current returns the innermost span carried by ctx, or nil when tracing
+// is disabled, so code below a stage can annotate the stage's span.
+func Current(ctx context.Context) *Span {
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
-	return sp != nil
+	return sp
 }
 
 // Set attaches a key/value attribute to the span. Later writes with the

@@ -10,7 +10,7 @@ import (
 
 func TestDisabledNoop(t *testing.T) {
 	ctx := context.Background()
-	if Active(ctx) {
+	if Active(ctx) || Current(ctx) != nil {
 		t.Fatal("background context should not be active")
 	}
 	cctx, sp := Start(ctx, "stage")
@@ -45,8 +45,14 @@ func TestSpanTree(t *testing.T) {
 	if !Active(ctx) {
 		t.Fatal("root context must be active")
 	}
+	if Current(ctx) != root {
+		t.Fatal("Current must return the root span under the root context")
+	}
 
 	actx, a := Start(ctx, "a")
+	if Current(actx) != a {
+		t.Fatal("Current must return the innermost started span")
+	}
 	a.Set("clauses", 42)
 	a.Set("cache", "miss")
 	a.Set("cache", "renamed") // last write wins
